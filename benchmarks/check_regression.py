@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """CI performance-regression gate: compare fresh BENCH_*.json to baselines.
 
-Every throughput benchmark writes a ``BENCH_*.json`` artifact; blessed
+Every throughput benchmark writes a ``BENCH_*.json`` artifact into the
+git-ignored ``benchmarks/out/``; blessed
 copies of those artifacts live in ``benchmarks/baselines/``.  This script
 compares the *gated metric* of each fresh artifact against its baseline and
 fails (exit 1) when the fresh value has dropped by more than the tolerance
@@ -24,8 +25,9 @@ Updating a baseline (see EXPERIMENTS.md for the full workflow)::
         benchmarks/test_pool_throughput.py \
         benchmarks/test_tracking_throughput.py \
         "benchmarks/test_ablation_penalty.py::test_ablation_adaptive_rho_tracking" -q
-    cp BENCH_compaction.json BENCH_batch.json BENCH_pool.json \
-        BENCH_tracking.json benchmarks/baselines/
+    cp benchmarks/out/BENCH_compaction.json benchmarks/out/BENCH_batch.json \
+        benchmarks/out/BENCH_pool.json benchmarks/out/BENCH_tracking.json \
+        benchmarks/baselines/
 
 then bless each gated value in each copied file: move the measured
 ``speedup`` into ``speedup_measured`` and set ``speedup`` slightly below
@@ -37,7 +39,7 @@ how a new gate rolls out before its first baseline refresh.
 
 Usage::
 
-    python benchmarks/check_regression.py [--results-dir .] \
+    python benchmarks/check_regression.py [--results-dir benchmarks/out] \
         [--baseline-dir benchmarks/baselines] [--tolerance 0.25] [--require-all]
 """
 
@@ -158,7 +160,8 @@ def check_file(name: str, results_dir: Path, baseline_dir: Path,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--results-dir", type=Path, default=Path("."),
+    parser.add_argument("--results-dir", type=Path,
+                        default=Path(__file__).resolve().parent / "out",
                         help="directory holding the fresh BENCH_*.json files")
     parser.add_argument("--baseline-dir", type=Path,
                         default=Path(__file__).resolve().parent / "baselines")

@@ -66,6 +66,7 @@ def write_bench_json(path: Path, payload: dict, workers: int = 1) -> Path:
     the regression gate never compares measurements across backends).
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     payload = dict(payload)
     payload.setdefault("git_sha", repo_git_sha())
     payload.setdefault("worker_count", int(workers))

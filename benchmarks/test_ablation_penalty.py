@@ -37,7 +37,7 @@ from repro.tracking.horizon import relative_gap_series
 
 CASE = "pegase30_like"
 SWEEP = [(1e2, 1e4), (4e2, 4e4), (2e3, 2e5)]
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_tracking.json"
+RESULT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_tracking.json"
 
 
 def run_sweep():

@@ -25,7 +25,7 @@ from repro.grid.cases import load_case
 from repro.parallel.device import SimulatedDevice
 from repro.scenarios import load_scaling_scenarios
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
+RESULT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_batch.json"
 
 #: Shared iteration budget — both arms run exactly the same trajectories,
 #: so capping it changes benchmark time, not the comparison.  The CI smoke

@@ -39,7 +39,7 @@ CASE = "pegase118_like"
 LOAD_FACTORS = (0.20, 0.30, 0.40, 0.55, 0.70, 0.85, 1.00, 1.05)
 OUTAGES = (0, 20, 41, 61, 123, 143, 164, 185)
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_compaction.json"
+RESULT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_compaction.json"
 
 
 def heterogeneous_n1_batch() -> ScenarioSet:

@@ -28,7 +28,7 @@ from repro.admm.parameters import parameters_for_case
 from repro.grid.cases import load_case
 from repro.parallel import DevicePool, FaultPlan, FaultSpec
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pool.json"
+RESULT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_pool.json"
 
 
 def assert_identical(pooled, reference) -> None:

@@ -44,7 +44,7 @@ from repro.analysis.reporting import render_table
 from repro.grid.cases import load_case
 from repro.parallel import DevicePool, SimulatedDevice
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pool.json"
+RESULT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_pool.json"
 
 
 def pool_worker_counts() -> list[int]:

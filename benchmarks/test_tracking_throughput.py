@@ -46,7 +46,7 @@ from repro.scenarios import tracking_fleet
 from repro.tracking import make_load_profile, track_horizon_batch
 from repro.tracking.horizon import relative_gap_series
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_tracking.json"
+RESULT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_tracking.json"
 
 
 def assert_identical_per_period(pooled, reference) -> None:

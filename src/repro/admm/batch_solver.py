@@ -44,7 +44,7 @@ from repro.admm.penalty import (
     scenario_penalties,
     seed_penalties,
 )
-from repro.admm.residuals import compute_residuals
+from repro.admm.residuals import check_constant_penalties, compute_residuals
 from repro.admm.solver import AdmmIterationLog, AdmmSolution
 from repro.admm.state import (
     AdmmState,
@@ -56,7 +56,7 @@ from repro.analysis.metrics import constraint_violation
 from repro.exceptions import ConfigurationError
 from repro.logging_utils import get_logger
 from repro.parallel.backends import get_backend
-from repro.parallel.compaction import Workspace, compaction_enabled
+from repro.parallel.compaction import compaction_enabled
 from repro.parallel.device import SimulatedDevice
 from repro.scenarios import Scenario, ScenarioSet, as_scenario_set
 
@@ -104,7 +104,6 @@ class BatchAdmmSolver:
         self.backend = get_backend(self.params.kernel_backend)
         self.device = device or SimulatedDevice()
         self.device.backend = self.backend.name
-        self.workspace = Workspace()
         self.last_state: AdmmState | None = None
 
     # ------------------------------------------------------------------ #
@@ -208,6 +207,7 @@ class BatchAdmmSolver:
             seed_penalties(data_full, seed)
         elif params.adaptive_rho:
             seed_penalties(data_full, self.initial_penalties)
+        check_constant_penalties(data_full)
 
         state_full = cold_start_state(data_full)
         if warm_start is not None:
@@ -266,7 +266,7 @@ class BatchAdmmSolver:
                           backend=self.backend)
             device.launch("branch_update", update_branches, data, state, params.tron,
                           elements=data.n_branch, active_elements=active_branch,
-                          workspace=self.workspace, backend=self.backend)
+                          backend=self.backend)
             device.launch("bus_update", update_buses, data, state,
                           elements=data.n_bus, active_elements=active_bus,
                           backend=self.backend)

@@ -13,11 +13,35 @@ and minimises the augmented-Lagrangian objective consisting of
   branches; the multipliers λ̃ and penalty ρ̃ persist across ADMM iterations
   and are updated by a classic LANCELOT-style rule).
 
-The objective, gradient, and Hessian are assembled fully vectorised over the
-branch axis from the shared flow derivatives in
-:mod:`repro.powerflow.branch_derivatives`, and the whole batch is solved by
-the TRON solver — one simulated "thread block" per branch, exactly the
-paper's ExaTron usage.
+Every term is ``φ(c) = a·c + (b/2)·c²`` of a constraint ``c``, so the
+objective is evaluated in closed form over the whole batch at once:
+
+* the coefficients, targets, multipliers and penalties of the eight
+  consensus terms are stacked once per ADMM iteration as ``(8, B)`` arrays
+  (structure of arrays: every elementwise operation streams contiguous
+  branch rows) and sliced along the branch axis by
+  :meth:`BranchObjective.select_rows`;
+* one cos/sin of ``θ_i − θ_j`` yields all four flows;
+* the gradient is one weighted contraction of the constraint gradients
+  ``G`` (four flows and the two line limits, whose gradients are
+  ``2p∇p + 2q∇q`` plus a slack unit vector), and the Hessian is
+  ``Gᵀ diag(w) G`` plus the flows' own second derivatives — which need only
+  ``Σ mₖ Tₖ``, ``Σ mₖ T′ₖ``, ``Σ mₖ K_i,ₖ`` and ``Σ mₖ K_j,ₖ`` — plus the
+  diagonal ``v²``/``θ`` terms and the slack couplings, written directly.
+
+The flows depend on ``θ_i − θ_j`` only, so ``G`` and the flow Hessians are
+formed in the reduced variables ``(v_i, v_j, θ)`` and expanded to
+``θ_i`` and ``θ_j`` (``∂/∂θ_j = −∂/∂θ_i``) when the ``(B, 6, 6)`` Hessian
+is written.  Sums
+over the terms are explicit elementwise additions in a fixed order, never
+reductions whose association could depend on the batch width, so every
+evaluation is row-separable bit for bit (stream compaction relies on it).
+
+The TRON driver asks for the objective at trial points and for the
+gradient and Hessian together (:meth:`BranchObjective.derivatives`) at
+accepted points only; nothing is cached between calls.  The whole batch is
+solved by :func:`repro.tron.batch.solve_batch` — one simulated "thread
+block" per branch, exactly the paper's ExaTron usage.
 """
 
 from __future__ import annotations
@@ -29,11 +53,11 @@ import numpy as np
 from repro.admm.data import ComponentData
 from repro.admm.state import AdmmState
 from repro.parallel.backends import KernelBackend, get_backend
-from repro.parallel.compaction import Workspace
 from repro.powerflow.branch_derivatives import (
+    FlowCoefficients,
+    flow_value,
     quantity_value,
-    quantity_value_grad,
-    quantity_value_grad_hess,
+    trig_factors,
 )
 from repro.tron.batch import solve_batch
 from repro.tron.options import TronOptions
@@ -44,200 +68,128 @@ VI, VJ, TI, TJ, SIJ, SJI = range(6)
 #: Angle bounds used by the paper's formulation (1h).
 ANGLE_BOUND = 2.0 * np.pi
 
+#: Rows of the stacked consensus arrays: the four flows (in the row order of
+#: ``BranchQuantities.stacked``), then the bus-side copies ``(w_i, w_j,
+#: θ_i, θ_j)`` in the order of the variables they constrain.
+CONSENSUS = ("pij", "qij", "pji", "qji", "wi", "wj", "ti", "tj")
+
+# Hessian entries of the reduced variables (v_i, v_j, θ), as rows of the
+# stacked entry array: 0–5 the pairs (vi,vi) (vi,vj) (vi,θ) (vj,vj) (vj,θ)
+# (θ,θ); 6–8 the couplings of (vi, vj, θ) with s_ij and 9–11 with s_ji; 12
+# ρ̃ (the slack diagonals); 13 an exact zero.  _H_ENTRY places them in the
+# 6×6 Hessian and _H_SIGN applies ∂/∂θ_j = −∂/∂θ_i.
+_PAIR_I = np.array([0, 0, 0, 1, 1, 2])
+_PAIR_J = np.array([0, 1, 2, 1, 2, 2])
+_RED = [0, 1, 2, 2]
+_H_ENTRY = np.array([
+    # vi  vj  ti  tj sij sji
+    [0, 1, 2, 2, 6, 9],        # vi
+    [1, 3, 4, 4, 7, 10],       # vj
+    [2, 4, 5, 5, 8, 11],       # ti
+    [2, 4, 5, 5, 8, 11],       # tj
+    [6, 7, 8, 8, 12, 13],      # s_ij
+    [9, 10, 11, 11, 13, 12],   # s_ji
+])
+_THETA_SIGN = np.array([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+_H_SIGN = np.outer(_THETA_SIGN, _THETA_SIGN)[:, :, None]
+_DIAG4 = np.arange(4)
+
+
+def _row_sum(rows) -> np.ndarray:
+    """``rows[0] + rows[1] + …`` as elementwise adds in a fixed order.
+
+    A NumPy reduction may associate differently when the batch width is 1,
+    which would break the bitwise row-separability of the evaluation.
+    """
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total
+
 
 @dataclass
 class BranchObjective:
     """Batched objective of the branch subproblems for one ADMM iteration.
 
-    The target of each consensus term is ``(bus-side value) − z`` so that the
-    penalised quantity is exactly ``component value − bus value + z``.
-    Implements the :class:`repro.tron.batch.BatchProblem` protocol.
+    Arrays are stacked term-major with the branch axis last.  The target of
+    each consensus term is ``(bus-side value) − z`` so that the penalised
+    quantity is exactly ``component value − bus value + z``.  Implements the
+    :class:`repro.tron.batch.BatchProblem` protocol.
     """
 
-    data: ComponentData
-    # consensus targets and multipliers (per branch)
-    tgt_pij: np.ndarray
-    tgt_qij: np.ndarray
-    tgt_pji: np.ndarray
-    tgt_qji: np.ndarray
-    tgt_wi: np.ndarray
-    tgt_ti: np.ndarray
-    tgt_wj: np.ndarray
-    tgt_tj: np.ndarray
-    y_pij: np.ndarray
-    y_qij: np.ndarray
-    y_pji: np.ndarray
-    y_qji: np.ndarray
-    y_wi: np.ndarray
-    y_ti: np.ndarray
-    y_wj: np.ndarray
-    y_tj: np.ndarray
+    coeff: FlowCoefficients   # (4, B) flow coefficients, rows pij, qij, pji, qji
+    target: np.ndarray        # (8, B) consensus targets, rows :data:`CONSENSUS`
+    y: np.ndarray             # (8, B) consensus multipliers
+    rho: np.ndarray           # (8, B) consensus penalties
     # line-limit augmented-Lagrangian state (zeroed for unrated branches)
-    lam_sij: np.ndarray
-    lam_sji: np.ndarray
-    rho_tilde: np.ndarray
+    lam: np.ndarray           # (2, B) multipliers of the ij and ji limits
+    rho_tilde: np.ndarray     # (B,) penalty shared by both limits
+    limited: np.ndarray       # (B,) branch has a thermal rating
     # bounds
     lb: np.ndarray
     ub: np.ndarray
-    # scratch arena: evaluation buffers (notably the (B, 6, 6) Hessian
-    # accumulators) are reused across iterations instead of reallocated.
-    # Callers that retain a gradient/Hessian across evaluations must copy
-    # it (the TRON driver does); row-subset views never share the arena.
-    workspace: Workspace | None = None
-    # kernel backend executing the dense batched products; None resolves
-    # the environment default at evaluation time.
-    backend: KernelBackend | None = None
 
     # ------------------------------------------------------------------ #
     def _evaluate(self, u: np.ndarray, order: int) -> tuple:
-        """Shared evaluation returning (f[, grad[, hess]]) depending on order.
-
-        TRON asks for the objective, gradient, and Hessian of the same point
-        through separate callbacks; a tiny one-entry cache keyed on the point
-        bytes avoids recomputing the flow values three times.
-        """
-        cache = getattr(self, "_cache", None)
-        key = (u.tobytes(), order)
-        if cache is not None and cache[0] == key[0] and cache[1] >= order:
-            return cache[2][:order + 1] if order < 2 else cache[2]
-        result = self._evaluate_fresh(u, order)
-        if cache is None or cache[1] <= order or cache[0] != key[0]:
-            self._cache = (key[0], order, result)
-        return result
-
-    def _evaluate_fresh(self, u: np.ndarray, order: int) -> tuple:
-        data = self.data
-        rho = data.rho
-        vi, vj, ti, tj = u[:, VI], u[:, VJ], u[:, TI], u[:, TJ]
-        sij, sji = u[:, SIJ], u[:, SJI]
-        batch = u.shape[0]
-        ws = self.workspace
-        kb = get_backend(self.backend)
-
-        def scratch(key: str, shape: tuple) -> np.ndarray:
-            """A zeroed accumulator, reused from the arena when one exists."""
-            return ws.zeros(key, shape) if ws is not None else np.zeros(shape)
-
-        def outer66(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            """Batched outer product ``a bᵀ`` into a reused (B, 6, 6) buffer."""
-            if ws is not None:
-                return kb.batched_outer(a, b, out=ws.take("outer66", (batch, 6, 6)))
-            return kb.batched_outer(a, b)
-
-        flows = {}
-        for name, coeff in zip(("pij", "qij", "pji", "qji"), data.quantities.as_tuple()):
-            if order >= 2:
-                flows[name] = quantity_value_grad_hess(coeff, vi, vj, ti, tj)
-            elif order == 1:
-                val, grad4 = quantity_value_grad(coeff, vi, vj, ti, tj)
-                flows[name] = (val, grad4, None)
-            else:
-                flows[name] = (quantity_value(coeff, vi, vj, ti, tj), None, None)
-
-        f = np.zeros(batch)
-        grad = scratch("grad", (batch, 6)) if order >= 1 else None
-        hess = scratch("hess", (batch, 6, 6)) if order >= 2 else None
-
-        def add_term(c_val, c_grad6, c_hess66, a, b):
-            """Add φ(c) = a·c + (b/2)·c² for a batched constraint c."""
-            nonlocal f
-            phi_prime = a + b * c_val
-            f = f + a * c_val + 0.5 * b * c_val * c_val
-            if grad is not None:
-                grad[:] += phi_prime[:, None] * c_grad6
-            if hess is not None:
-                hess[:] += b[:, None, None] * outer66(c_grad6, c_grad6)
-                if c_hess66 is not None:
-                    hess[:] += phi_prime[:, None, None] * c_hess66
-
-        def pad_flow(grad4, hess4):
-            g6 = scratch("flow_g6", (batch, 6))
-            g6[:, :4] = grad4
-            h6 = None
-            if hess is not None:
-                h6 = scratch("flow_h66", (batch, 6, 6))
-                h6[:, :4, :4] = hess4
-            return g6, h6
-
-        # --- flow consensus terms ------------------------------------------
-        for name, target, y in (("pij", self.tgt_pij, self.y_pij),
-                                ("qij", self.tgt_qij, self.y_qij),
-                                ("pji", self.tgt_pji, self.y_pji),
-                                ("qji", self.tgt_qji, self.y_qji)):
-            val, grad4, hess4 = flows[name]
-            g6, h6 = pad_flow(grad4, hess4) if grad is not None else (None, None)
-            c_val = val - target
-            if grad is None:
-                f = f + y * c_val + 0.5 * rho[name] * c_val * c_val
-            else:
-                add_term(c_val, g6, h6, y, np.full(batch, rho[name]))
-
-        # --- voltage / angle consensus terms --------------------------------
-        def add_simple(c_val, grad_index, extra_diag, a, b):
-            """Consensus term whose constraint gradient is a single column."""
-            nonlocal f
-            phi_prime = a + b * c_val
-            f = f + a * c_val + 0.5 * b * c_val * c_val
-            if grad is not None:
-                grad[:, grad_index] += phi_prime * extra_diag
-            if hess is not None:
-                hess[:, grad_index, grad_index] += b * extra_diag * extra_diag
-
-        rho_wi = np.full(batch, rho["wi"])
-        rho_wj = np.full(batch, rho["wj"])
-        rho_ti = np.full(batch, rho["ti"])
-        rho_tj = np.full(batch, rho["tj"])
-
-        # w-type terms: c = v² − target, so ∇c = 2v e_v and ∇²c = 2 e_v e_vᵀ.
-        c_wi = vi * vi - self.tgt_wi
-        phi_wi = self.y_wi + rho_wi * c_wi
-        f = f + self.y_wi * c_wi + 0.5 * rho_wi * c_wi * c_wi
-        if grad is not None:
-            grad[:, VI] += phi_wi * 2.0 * vi
-        if hess is not None:
-            hess[:, VI, VI] += rho_wi * 4.0 * vi * vi + 2.0 * phi_wi
-
-        c_wj = vj * vj - self.tgt_wj
-        phi_wj = self.y_wj + rho_wj * c_wj
-        f = f + self.y_wj * c_wj + 0.5 * rho_wj * c_wj * c_wj
-        if grad is not None:
-            grad[:, VJ] += phi_wj * 2.0 * vj
-        if hess is not None:
-            hess[:, VJ, VJ] += rho_wj * 4.0 * vj * vj + 2.0 * phi_wj
-
-        # θ-type terms: linear constraints.
-        add_simple(ti - self.tgt_ti, TI, np.ones(batch), self.y_ti, rho_ti)
-        add_simple(tj - self.tgt_tj, TJ, np.ones(batch), self.y_tj, rho_tj)
-
-        # --- line-limit augmented-Lagrangian terms ---------------------------
-        # c = p² + q² + s;  ∇c = 2p∇p + 2q∇q + e_s;  ∇²c = 2(∇p∇pᵀ + p∇²p + …).
-        for (pname, qname, s, s_index, lam) in (
-                ("pij", "qij", sij, SIJ, self.lam_sij),
-                ("pji", "qji", sji, SJI, self.lam_sji)):
-            p_val, p_grad4, p_hess4 = flows[pname]
-            q_val, q_grad4, q_hess4 = flows[qname]
-            c_val = p_val * p_val + q_val * q_val + s
-            b = self.rho_tilde
-            phi_prime = lam + b * c_val
-            f = f + lam * c_val + 0.5 * b * c_val * c_val
-            if grad is not None:
-                c_grad6 = scratch("limit_g6", (batch, 6))
-                c_grad6[:, :4] = 2.0 * p_val[:, None] * p_grad4 + 2.0 * q_val[:, None] * q_grad4
-                c_grad6[:, s_index] = 1.0
-                grad[:] += phi_prime[:, None] * c_grad6
-                if hess is not None:
-                    c_hess66 = scratch("limit_h66", (batch, 6, 6))
-                    c_hess66[:, :4, :4] = 2.0 * (
-                        kb.batched_outer(p_grad4, p_grad4) + p_val[:, None, None] * p_hess4
-                        + kb.batched_outer(q_grad4, q_grad4) + q_val[:, None, None] * q_hess4)
-                    hess[:] += b[:, None, None] * outer66(c_grad6, c_grad6)
-                    hess[:] += phi_prime[:, None, None] * c_hess66
-
+        """``(f,)``, ``(f, grad)`` or ``(f, grad, hess)`` for ``order`` 0, 1, 2."""
+        vi, vj, ti, tj, sij, sji = np.ascontiguousarray(u.T)
+        k = self.coeff
+        trig, dtrig = trig_factors(k, ti, tj, derivative=order >= 1)
+        flows = flow_value(k, vi, vj, trig)                       # (4, B)
+        c = np.vstack([flows, vi * vi, vj * vj, ti, tj]) - self.target
+        sq = flows * flows
+        c_lim = np.vstack([sq[0] + sq[1] + sij, sq[2] + sq[3] + sji])
+        rt = self.rho_tilde
+        f = (_row_sum((self.y + 0.5 * self.rho * c) * c)
+             + _row_sum((self.lam + 0.5 * rt * c_lim) * c_lim))
         if order == 0:
             return (f,)
+
+        phi = self.y + self.rho * c                  # φ′ of the consensus terms
+        phi_lim = self.lam + rt * c_lim              # φ′ of the two limits
+        phi_pair = phi_lim[[0, 0, 1, 1]]             # each flow's limit
+
+        # Constraint gradients in (v_i, v_j, θ): four flows, then the limits.
+        vv = vi * vj
+        d = np.empty((3, 4) + vi.shape)
+        d[0] = 2.0 * k.k_i * vi + vj * trig
+        d[1] = 2.0 * k.k_j * vj + vi * trig
+        d[2] = vv * dtrig
+        pd = d * flows
+        grads = np.concatenate([d, 2.0 * (pd[:, 0::2] + pd[:, 1::2])], axis=1)
+
+        # Gradient: one φ′-weighted contraction, plus the slack and bus terms.
+        dbus = np.ones((4,) + vi.shape)
+        dbus[0] = 2.0 * vi
+        dbus[1] = 2.0 * vj
+        reduced = _row_sum((grads * np.vstack([phi[:4], phi_lim])).transpose(1, 0, 2))
+        grad = np.ascontiguousarray(np.vstack([
+            reduced[_RED, :] * _THETA_SIGN[:4, None] + phi[4:] * dbus, phi_lim]).T)
         if order == 1:
             return f, grad
-        return f, grad, hess
+
+        # Hessian: Gᵀ diag(w) G (w = ρ plus the limits' 2φ′ on the flow
+        # outer products), the flow Hessians weighted by m, the slack
+        # couplings ρ̃·∇c_lim, and the diagonal bus terms.
+        w = np.vstack([self.rho[:4] + 2.0 * phi_pair, rt, rt])
+        pairs = _row_sum((grads[_PAIR_I] * w * grads[_PAIR_J]).transpose(1, 0, 2))
+        m = phi[:4] + 2.0 * phi_pair * flows
+        m_trig = _row_sum(m * trig)
+        m_dtrig = _row_sum(m * dtrig)
+        pairs[0] += 2.0 * _row_sum(m * k.k_i)
+        pairs[1] += m_trig
+        pairs[2] += vj * m_dtrig
+        pairs[3] += 2.0 * _row_sum(m * k.k_j)
+        pairs[4] += vi * m_dtrig
+        pairs[5] -= vv * m_trig
+        entries = np.vstack([pairs, rt * grads[:, 4], rt * grads[:, 5], rt,
+                             np.zeros_like(rt)])
+        bus_diag = self.rho[4:] * dbus * dbus
+        bus_diag[:2] += 2.0 * phi[4:6]
+        hess = entries[_H_ENTRY]                          # (6, 6, B)
+        hess *= _H_SIGN
+        hess[_DIAG4, _DIAG4] += bus_diag
+        return f, grad, np.ascontiguousarray(hess.transpose(2, 0, 1))
 
     # BatchProblem protocol -------------------------------------------------
     def objective(self, u: np.ndarray) -> np.ndarray:
@@ -246,120 +198,86 @@ class BranchObjective:
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return self._evaluate(u, order=1)[1]
 
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        return self._evaluate(u, order=2)[2]
+    def hessian(self, u: np.ndarray, with_gradient: bool = False):
+        """Hessians ``(B, 6, 6)``; with ``with_gradient`` the pair (gradient, Hessian)."""
+        _, grad, hess = self._evaluate(u, order=2)
+        return (grad, hess) if with_gradient else hess
+
+    def derivatives(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian from one closed-form evaluation.
+
+        Routed through :meth:`hessian`, so tooling that wraps the protocol
+        callbacks (the timebench layer tracer) sees exactly one evaluation.
+        """
+        return self.hessian(u, with_gradient=True)
 
     def select(self, index: int) -> "BranchObjective":
         """One-branch view for the loop TRON backend's single-row evaluation."""
         return self.select_rows(np.array([index]))
 
     def select_rows(self, indices: np.ndarray) -> "BranchObjective":
-        """Packed row-subset view (stream compaction in the TRON driver).
-
-        The view deliberately carries no workspace: subset shapes change
-        from call to call, and the packed evaluations must never overwrite
-        buffers the full-batch callbacks handed out.
-        """
+        """Packed row-subset view (stream compaction in the TRON driver)."""
         indices = np.asarray(indices, dtype=int)
-        rho = {group: (value if np.ndim(value) == 0 else value[indices])
-               for group, value in self.data.rho.items()
-               if group not in ("gp", "gq")}
-        view = _BranchDataView(
-            quantities=self.data.quantities.take(indices),
-            rho=rho,
-            branch_has_limit=self.data.branch_has_limit[indices])
+        k = self.coeff
         return BranchObjective(
-            data=view,
-            tgt_pij=self.tgt_pij[indices], tgt_qij=self.tgt_qij[indices],
-            tgt_pji=self.tgt_pji[indices], tgt_qji=self.tgt_qji[indices],
-            tgt_wi=self.tgt_wi[indices], tgt_ti=self.tgt_ti[indices],
-            tgt_wj=self.tgt_wj[indices], tgt_tj=self.tgt_tj[indices],
-            y_pij=self.y_pij[indices], y_qij=self.y_qij[indices],
-            y_pji=self.y_pji[indices], y_qji=self.y_qji[indices],
-            y_wi=self.y_wi[indices], y_ti=self.y_ti[indices],
-            y_wj=self.y_wj[indices], y_tj=self.y_tj[indices],
-            lam_sij=self.lam_sij[indices], lam_sji=self.lam_sji[indices],
-            rho_tilde=self.rho_tilde[indices],
-            lb=self.lb[indices], ub=self.ub[indices],
-            backend=self.backend)
+            coeff=FlowCoefficients(k.k_i[:, indices], k.k_j[:, indices],
+                                   k.a_c[:, indices], k.a_s[:, indices]),
+            target=self.target[:, indices], y=self.y[:, indices],
+            rho=self.rho[:, indices], lam=self.lam[:, indices],
+            rho_tilde=self.rho_tilde[indices], limited=self.limited[indices],
+            lb=self.lb[indices], ub=self.ub[indices])
 
     def limit_residuals(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Line-limit constraint residuals (zero for unrated branches)."""
-        data = self.data
-        vi, vj, ti, tj = u[:, VI], u[:, VJ], u[:, TI], u[:, TJ]
-        flows = {}
-        for name, coeff in zip(("pij", "qij", "pji", "qji"), data.quantities.as_tuple()):
-            flows[name] = quantity_value(coeff, vi, vj, ti, tj)
-        limited = data.branch_has_limit
-        c_ij = np.where(limited, flows["pij"] ** 2 + flows["qij"] ** 2 + u[:, SIJ], 0.0)
-        c_ji = np.where(limited, flows["pji"] ** 2 + flows["qji"] ** 2 + u[:, SJI], 0.0)
+        vi, vj, ti, tj, sij, sji = np.ascontiguousarray(u.T)
+        sq = quantity_value(self.coeff, vi, vj, ti, tj) ** 2
+        c_ij = np.where(self.limited, sq[0] + sq[1] + sij, 0.0)
+        c_ji = np.where(self.limited, sq[2] + sq[3] + sji, 0.0)
         return c_ij, c_ji
 
 
-@dataclass
-class _BranchDataView:
-    """The slice of :class:`ComponentData` a sliced branch objective needs."""
-
-    quantities: object
-    rho: dict
-    branch_has_limit: np.ndarray
-
-
-def build_branch_objective(data: ComponentData, state: AdmmState,
-                           workspace: Workspace | None = None,
-                           backend: KernelBackend | None = None) -> BranchObjective:
+def build_branch_objective(data: ComponentData, state: AdmmState) -> BranchObjective:
     """Assemble the batched branch objective for the current ADMM iteration."""
     f = data.branch_from
     t = data.branch_to
-    limited = data.branch_has_limit.astype(float)
+    n = data.n_branch
+    limited = data.branch_has_limit
+    on = limited.astype(float)
 
-    rate_sq = np.where(data.branch_has_limit, data.branch_rate_sq, 0.0)
+    rate_sq = np.where(limited, data.branch_rate_sq, 0.0)
     lb = np.column_stack([
         data.branch_vi_min, data.branch_vj_min,
-        np.full(data.n_branch, -ANGLE_BOUND), np.full(data.n_branch, -ANGLE_BOUND),
-        -rate_sq, -rate_sq])
+        np.full(n, -ANGLE_BOUND), np.full(n, -ANGLE_BOUND), -rate_sq, -rate_sq])
     ub = np.column_stack([
         data.branch_vi_max, data.branch_vj_max,
-        np.full(data.n_branch, ANGLE_BOUND), np.full(data.n_branch, ANGLE_BOUND),
-        np.zeros(data.n_branch), np.zeros(data.n_branch)])
+        np.full(n, ANGLE_BOUND), np.full(n, ANGLE_BOUND), np.zeros(n), np.zeros(n)])
 
+    bus_side = (state.pij_copy, state.qij_copy, state.pji_copy, state.qji_copy,
+                state.w[f], state.w[t], state.theta[f], state.theta[t])
     return BranchObjective(
-        data=data,
-        tgt_pij=state.pij_copy - state.z["pij"],
-        tgt_qij=state.qij_copy - state.z["qij"],
-        tgt_pji=state.pji_copy - state.z["pji"],
-        tgt_qji=state.qji_copy - state.z["qji"],
-        tgt_wi=state.w[f] - state.z["wi"],
-        tgt_ti=state.theta[f] - state.z["ti"],
-        tgt_wj=state.w[t] - state.z["wj"],
-        tgt_tj=state.theta[t] - state.z["tj"],
-        y_pij=state.y["pij"], y_qij=state.y["qij"],
-        y_pji=state.y["pji"], y_qji=state.y["qji"],
-        y_wi=state.y["wi"], y_ti=state.y["ti"],
-        y_wj=state.y["wj"], y_tj=state.y["tj"],
-        lam_sij=state.lam_sij * limited,
-        lam_sji=state.lam_sji * limited,
-        rho_tilde=state.rho_tilde * limited,
-        lb=lb, ub=ub, workspace=workspace, backend=backend)
+        coeff=data.quantities.stacked,
+        target=np.stack([value - state.z[g] for g, value in zip(CONSENSUS, bus_side)]),
+        y=np.stack([state.y[g] for g in CONSENSUS]),
+        rho=np.stack([np.broadcast_to(data.rho[g], (n,)) for g in CONSENSUS]),
+        lam=np.stack([state.lam_sij * on, state.lam_sji * on]),
+        rho_tilde=state.rho_tilde * on, limited=limited, lb=lb, ub=ub)
 
 
 def update_branches(data: ComponentData, state: AdmmState,
                     tron_options: TronOptions | None = None,
-                    workspace: Workspace | None = None,
                     backend: KernelBackend | None = None) -> dict[str, float]:
     """Solve all branch subproblems and update the branch state in place.
 
     Returns a small info dictionary (TRON iterations, line-limit violation)
     used by the solver's logging.  ``backend`` selects the kernel backend
-    for the objective's dense products, the TRON driver, and the
-    per-scenario reductions; ``None`` resolves the environment default.
+    for the TRON driver's dense products and the per-scenario reductions;
+    ``None`` resolves the environment default.
     """
     params = data.params
     tron_options = tron_options or params.tron
     backend = get_backend(backend)
     segment_max = backend.segment_max
-    objective = build_branch_objective(data, state, workspace=workspace,
-                                       backend=backend)
+    objective = build_branch_objective(data, state)
 
     u = np.column_stack([state.vi, state.vj, state.ti, state.tj, state.sij, state.sji])
     limited = data.branch_has_limit
@@ -401,10 +319,9 @@ def update_branches(data: ComponentData, state: AdmmState,
         # the scenarios whose own augmented-Lagrangian loop is still running.
         updating = limited & needs_update[segments]
         improved = violation <= 0.25 * previous_violation
-        objective.lam_sij = np.where(
-            updating, objective.lam_sij + objective.rho_tilde * c_ij, objective.lam_sij)
-        objective.lam_sji = np.where(
-            updating, objective.lam_sji + objective.rho_tilde * c_ji, objective.lam_sji)
+        objective.lam = np.where(
+            updating, objective.lam + objective.rho_tilde * np.vstack([c_ij, c_ji]),
+            objective.lam)
         increase = updating & ~improved
         objective.rho_tilde = np.where(
             increase,
@@ -412,15 +329,13 @@ def update_branches(data: ComponentData, state: AdmmState,
                        params.auglag_penalty_max),
             objective.rho_tilde)
         previous_violation = np.where(updating, violation, previous_violation)
-        # The multipliers changed, so cached evaluations are stale.
-        objective._cache = None
 
     # Persist branch variables and the augmented-Lagrangian state.
     state.vi, state.vj = u[:, VI].copy(), u[:, VJ].copy()
     state.ti, state.tj = u[:, TI].copy(), u[:, TJ].copy()
     state.sij, state.sji = u[:, SIJ].copy(), u[:, SJI].copy()
-    state.lam_sij = np.where(limited, objective.lam_sij, state.lam_sij)
-    state.lam_sji = np.where(limited, objective.lam_sji, state.lam_sji)
+    state.lam_sij = np.where(limited, objective.lam[0], state.lam_sij)
+    state.lam_sji = np.where(limited, objective.lam[1], state.lam_sji)
     state.rho_tilde = np.where(limited, objective.rho_tilde, state.rho_tilde)
     state.refresh_flows(data)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.admm.data import COUPLING_GROUPS, ComponentData
+from repro.admm.data import COUPLING_GROUPS, GROUP_AXIS, VALUE_AXIS, ComponentData
 from repro.admm.state import AdmmState
 from repro.exceptions import ConfigurationError
 
@@ -46,6 +46,13 @@ class ResidualInfo:
                 & (self.dual_norms <= tol_dual))
 
 
+def _not_constant(group: str, scenario: int, block: np.ndarray) -> ConfigurationError:
+    return ConfigurationError(
+        f"data.rho[{group!r}] is not constant within scenario {scenario} "
+        f"(spread [{float(np.min(block))}, {float(np.max(block))}]); "
+        "per-scenario penalties must be written per whole scenario block")
+
+
 def _scenario_rho(data: ComponentData, group: str, scenario: int) -> float:
     """One scenario's penalty for a group, read from ``data.rho`` itself.
 
@@ -55,6 +62,7 @@ def _scenario_rho(data: ComponentData, group: str, scenario: int) -> float:
     *not* constant (a hand-tuned array written without scenario structure)
     would silently corrupt the dual-residual scale — and desynchronise the
     adaptive-ρ updater, which rewrites whole blocks — so it is rejected.
+    Every penalty write site reads the old value through here first.
     """
     rho = data.rho[group]
     if np.ndim(rho) == 0:
@@ -64,11 +72,42 @@ def _scenario_rho(data: ComponentData, group: str, scenario: int) -> float:
         return 0.0
     first = float(block[0])
     if float(np.max(block)) != first or float(np.min(block)) != first:
-        raise ConfigurationError(
-            f"data.rho[{group!r}] is not constant within scenario {scenario} "
-            f"(spread [{float(np.min(block))}, {float(np.max(block))}]); "
-            "per-scenario penalties must be written per whole scenario block")
+        raise _not_constant(group, scenario, block)
     return first
+
+
+def _block_firsts(data: ComponentData, group: str) -> np.ndarray:
+    """Every scenario's penalty for a group: its block's first entry.
+
+    Empty blocks read 0.0, like :func:`_scenario_rho`.
+    """
+    rho = data.rho[group]
+    offsets = data.scenario_layout.offsets(GROUP_AXIS[group])
+    if np.ndim(rho) == 0:
+        return np.full(len(offsets) - 1, float(rho))
+    starts = np.asarray(offsets[:-1], dtype=int)
+    nonempty = np.asarray(offsets[1:], dtype=int) > starts
+    firsts = np.zeros(starts.size)
+    firsts[nonempty] = rho[starts[nonempty]]
+    return firsts
+
+
+def check_constant_penalties(data: ComponentData) -> None:
+    """Reject any ``data.rho`` array that varies within a scenario block.
+
+    One vectorised pass over every group; the solvers call it at solve
+    entry, so the per-iteration residuals can read each block's first
+    entry without re-checking it.
+    """
+    for group in COUPLING_GROUPS:
+        rho = data.rho[group]
+        if np.ndim(rho) == 0:
+            continue
+        segments = data.group_scenarios(group)
+        bad = rho != _block_firsts(data, group)[segments]
+        if bad.any():
+            scenario = int(segments[np.argmax(bad)])
+            raise _not_constant(group, scenario, rho[data.group_block(group, scenario)])
 
 
 def compute_residuals(data: ComponentData, state: AdmmState,
@@ -100,6 +139,22 @@ def compute_residuals(data: ComponentData, state: AdmmState,
     n_scenarios = data.n_scenarios
     bus_values = state.bus_side_values()
     previous_all = state.previous_bus_values
+    layout = data.scenario_layout
+    group_blocks = [layout.blocks(GROUP_AXIS[g]) for g in COUPLING_GROUPS]
+    value_blocks = [layout.blocks(VALUE_AXIS[g]) for g in COUPLING_GROUPS]
+    primal_arrays = [primal[g] for g in COUPLING_GROUPS]
+    value_arrays = [bus_values[g] for g in COUPLING_GROUPS]
+    y_arrays = [state.y[g] for g in COUPLING_GROUPS]
+    # Dual-residual inputs of the groups with a comparable previous value:
+    # (group position, current, previous, per-scenario penalty).  Penalties
+    # are constant per block (checked at solve entry), so each scenario's is
+    # its block's first entry.
+    dual_terms = []
+    for position, group in enumerate(COUPLING_GROUPS):
+        previous = previous_all.get(group)
+        if previous is not None and previous.shape == bus_values[group].shape:
+            dual_terms.append((position, bus_values[group], previous,
+                               _block_firsts(data, group)))
 
     primal_norms = np.zeros(n_scenarios)
     dual_norms = np.zeros(n_scenarios)
@@ -109,8 +164,10 @@ def compute_residuals(data: ComponentData, state: AdmmState,
     # stacked arrays: ``np.dot`` on a scenario's block performs the same
     # floating-point accumulation a standalone solve would, which is what
     # keeps batched convergence decisions bit-for-bit sequential.  The
-    # Python loop costs O(S) small dot products per iteration — negligible
-    # next to the branch TRON solve for realistic batch sizes.
+    # Python loop costs about 50 small NumPy calls per scenario and
+    # iteration: on many-scenario, few-iteration workloads (warm tracking
+    # periods) that is a visible share of the solve, so everything that
+    # does not depend on the scenario is hoisted out of it.
     for s in range(n_scenarios):
         if active is not None and not active[s]:
             continue
@@ -120,22 +177,20 @@ def compute_residuals(data: ComponentData, state: AdmmState,
         value_sq = 0.0
         dual_sq = 0.0
         y_sq = 0.0
-        for group in COUPLING_GROUPS:
-            v = primal[group][data.group_block(group, s)]
+        for array, blocks in zip(primal_arrays, group_blocks):
+            v = array[blocks[s]]
             n += v.size
             primal_sq += float(np.dot(v, v))
             primal_max = max(primal_max, float(np.max(np.abs(v))) if v.size else 0.0)
-        for group in COUPLING_GROUPS:
-            bv = bus_values[group][data.value_block(group, s)]
+        for array, blocks in zip(value_arrays, value_blocks):
+            bv = array[blocks[s]]
             value_sq += float(np.dot(bv, bv))
-        for group in COUPLING_GROUPS:
-            y = state.y[group][data.group_block(group, s)]
+        for array, blocks in zip(y_arrays, group_blocks):
+            y = array[blocks[s]]
             y_sq += float(np.dot(y, y))
-            previous = previous_all.get(group)
-            if previous is None or previous.shape != bus_values[group].shape:
-                continue
-            block = data.value_block(group, s)
-            diff = _scenario_rho(data, group, s) * (bus_values[group][block] - previous[block])
+        for position, current, previous, rhos in dual_terms:
+            block = value_blocks[position][s]
+            diff = float(rhos[s]) * (current[block] - previous[block])
             dual_sq += float(np.dot(diff, diff))
 
         primal_scale = max(1.0, np.sqrt(value_sq / max(n, 1)))

@@ -33,13 +33,12 @@ from repro.admm.data import ComponentData
 from repro.admm.generator_update import update_generators
 from repro.admm.parameters import AdmmParameters, parameters_for_case
 from repro.admm.penalty import apply_residual_balancing, scenario_penalties
-from repro.admm.residuals import compute_residuals
+from repro.admm.residuals import check_constant_penalties, compute_residuals
 from repro.admm.state import AdmmState, cold_start_state
 from repro.analysis.metrics import SolutionMetrics, constraint_violation
 from repro.grid.network import Network
 from repro.logging_utils import get_logger
 from repro.parallel.backends import get_backend
-from repro.parallel.compaction import Workspace
 from repro.parallel.device import SimulatedDevice
 
 LOGGER = get_logger("admm")
@@ -98,7 +97,6 @@ class AdmmSolver:
         self.backend = get_backend(self.params.kernel_backend)
         self.device = device or SimulatedDevice()
         self.device.backend = self.backend.name
-        self.workspace = Workspace()
         self.last_state: AdmmState | None = None
         self._initial_rho = dict(self.data.rho)
 
@@ -115,6 +113,7 @@ class AdmmSolver:
             # Each solve adapts ρ from the configured starting point; without
             # this reset a reused solver would drift across repeated solves.
             data.rho = dict(self._initial_rho)
+        check_constant_penalties(data)
 
         if warm_start is None:
             state = cold_start_state(data)
@@ -138,8 +137,7 @@ class AdmmSolver:
                 device.launch("generator_update", update_generators, data, state,
                               elements=data.n_gen, backend=self.backend)
                 device.launch("branch_update", update_branches, data, state, params.tron,
-                              elements=data.n_branch, workspace=self.workspace,
-                              backend=self.backend)
+                              elements=data.n_branch, backend=self.backend)
                 device.launch("bus_update", update_buses, data, state,
                               elements=data.n_bus, backend=self.backend)
                 device.launch("z_update", update_artificial_variables, data, state,

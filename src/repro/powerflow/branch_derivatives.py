@@ -28,6 +28,7 @@ power flow, and the flow-recomputation step of the reported solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +94,18 @@ class BranchQuantities:
     def as_tuple(self) -> tuple[FlowCoefficients, ...]:
         return (self.pij, self.qij, self.pji, self.qji)
 
+    @cached_property
+    def stacked(self) -> FlowCoefficients:
+        """All four quantities as one set of ``(4, n)`` coefficient arrays.
+
+        Rows follow :meth:`as_tuple`.  The flow formulas broadcast a branch
+        array ``(n,)`` against them, so one call evaluates all four flows
+        from a single cos/sin of ``θ_i − θ_j``.
+        """
+        parts = self.as_tuple()
+        return FlowCoefficients(*(np.stack([getattr(c, name) for c in parts])
+                                  for name in ("k_i", "k_j", "a_c", "a_s")))
+
 
 def branch_quantities(network: Network) -> BranchQuantities:
     """Build the flow-quantity coefficients for every in-service branch."""
@@ -108,21 +121,27 @@ def branch_quantities(network: Network) -> BranchQuantities:
     return BranchQuantities(pij=pij, qij=qij, pji=pji, qji=qji)
 
 
-def _trig(coeff: FlowCoefficients, ti: np.ndarray, tj: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``T = a_c cos + a_s sin`` and its θ-derivative ``T'``."""
+def trig_factors(coeff: FlowCoefficients, ti: np.ndarray, tj: np.ndarray,
+                 derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Return ``T = a_c cos + a_s sin`` and (optionally) its θ-derivative ``T'``."""
     dij = ti - tj
     cos = np.cos(dij)
     sin = np.sin(dij)
     trig = coeff.a_c * cos + coeff.a_s * sin
-    dtrig = -coeff.a_c * sin + coeff.a_s * cos
+    dtrig = -coeff.a_c * sin + coeff.a_s * cos if derivative else None
     return trig, dtrig
 
 
 def quantity_value(coeff: FlowCoefficients, vi: np.ndarray, vj: np.ndarray,
                    ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
     """Flow value for each branch (vectorised)."""
-    trig, _ = _trig(coeff, ti, tj)
+    trig, _ = trig_factors(coeff, ti, tj, derivative=False)
+    return flow_value(coeff, vi, vj, trig)
+
+
+def flow_value(coeff: FlowCoefficients, vi: np.ndarray, vj: np.ndarray,
+               trig: np.ndarray) -> np.ndarray:
+    """Flow value from precomputed trigonometric factors ``T``."""
     return coeff.k_i * vi * vi + coeff.k_j * vj * vj + vi * vj * trig
 
 
@@ -138,7 +157,7 @@ def quantity_value_grad(coeff: FlowCoefficients, vi: np.ndarray, vj: np.ndarray,
     grad:
         Array of shape ``(n, 4)`` ordered as :data:`LOCAL_STATE`.
     """
-    trig, dtrig = _trig(coeff, ti, tj)
+    trig, dtrig = trig_factors(coeff, ti, tj)
     value = coeff.k_i * vi * vi + coeff.k_j * vj * vj + vi * vj * trig
     grad = np.empty(vi.shape + (4,))
     grad[..., 0] = 2.0 * coeff.k_i * vi + vj * trig
@@ -165,7 +184,7 @@ def quantity_value_grad_hess(coeff: FlowCoefficients, vi: np.ndarray, vj: np.nda
     hess:
         Shape ``(n, 4, 4)``, symmetric in the last two axes.
     """
-    trig, dtrig = _trig(coeff, ti, tj)
+    trig, dtrig = trig_factors(coeff, ti, tj)
     value = coeff.k_i * vi * vi + coeff.k_j * vj * vj + vi * vj * trig
     grad = np.empty(vi.shape + (4,))
     grad[..., 0] = 2.0 * coeff.k_i * vi + vj * trig
@@ -191,5 +210,9 @@ def quantity_value_grad_hess(coeff: FlowCoefficients, vi: np.ndarray, vj: np.nda
 def all_flow_values(quantities: BranchQuantities, vi: np.ndarray, vj: np.ndarray,
                     ti: np.ndarray, tj: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Convenience wrapper returning ``(pij, qij, pji, qji)`` arrays."""
-    return tuple(quantity_value(c, vi, vj, ti, tj) for c in quantities.as_tuple())
+    """The four flows ``(pij, qij, pji, qji)`` from one cos/sin evaluation.
+
+    Each equals :func:`quantity_value` of that quantity bit for bit; the
+    rows are views of one ``(4, n)`` array.
+    """
+    return tuple(quantity_value(quantities.stacked, vi, vj, ti, tj))

@@ -16,6 +16,7 @@ solver maps its groups onto them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -99,8 +100,20 @@ class ScenarioLayout:
 
     def block(self, axis: str, scenario: int) -> slice:
         """Contiguous slice of one scenario's block on one axis."""
-        offsets = self.offsets(axis)
-        return slice(int(offsets[scenario]), int(offsets[scenario + 1]))
+        return self.blocks(axis)[scenario]
+
+    def blocks(self, axis: str) -> tuple[slice, ...]:
+        """Every scenario's block slice on one axis (built once per layout)."""
+        _check_axis(axis)
+        return self._blocks[axis]
+
+    @cached_property
+    def _blocks(self) -> dict[str, tuple[slice, ...]]:
+        blocks = {}
+        for axis in AXES:
+            bounds = [int(o) for o in getattr(self, f"{axis}_offsets")]
+            blocks[axis] = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+        return blocks
 
     def counts(self, axis: str) -> np.ndarray:
         """Per-scenario element counts of one axis."""

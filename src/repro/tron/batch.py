@@ -18,7 +18,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.tron.driver import TronResult, tron_solve_batch
+from repro.tron.driver import TronResult, combine_derivatives, tron_solve_batch
 from repro.tron.options import TronOptions
 
 BACKENDS = ("batched", "loop")
@@ -39,6 +39,10 @@ class BatchProblem(Protocol):
     sub-batch, and scatters results back — bitwise identical to the full
     sweep because the callbacks must be row-separable (each problem's
     values independent of which other rows share the batch).
+
+    Problems may finally implement ``derivatives(x) -> (gradient, hessian)``
+    computing both from one evaluation; the driver then makes one
+    derivative call per accepted step instead of two.
     """
 
     lb: np.ndarray
@@ -113,11 +117,12 @@ def solve_batch(problem: BatchProblem, x0: np.ndarray,
         if row_view is not None:
             def select_rows(indices: np.ndarray):
                 sub = row_view(indices)
-                return sub.objective, sub.gradient, sub.hessian
+                return sub.objective, _derivatives(sub)
         return tron_solve_batch(problem.objective, problem.gradient, problem.hessian,
                                 x0, problem.lb, problem.ub, options,
                                 select_rows=select_rows,
-                                kernel_backend=kernel_backend)
+                                kernel_backend=kernel_backend,
+                                derivatives=_derivatives(problem))
 
     # Loop backend: run the same algorithm one problem at a time.
     batch = x0.shape[0]
@@ -134,6 +139,7 @@ def solve_batch(problem: BatchProblem, x0: np.ndarray,
             # each callback costs O(1) instead of O(B) tiled work.
             single = select(b)
             obj, grad, hess = single.objective, single.gradient, single.hessian
+            deriv = _derivatives(single)
         else:
             def obj(x: np.ndarray, _i=b) -> np.ndarray:
                 return _call_single(problem.objective, x, _i, batch)
@@ -144,8 +150,10 @@ def solve_batch(problem: BatchProblem, x0: np.ndarray,
             def hess(x: np.ndarray, _i=b) -> np.ndarray:
                 return _call_single(problem.hessian, x, _i, batch)
 
+            deriv = None
+
         res = tron_solve_batch(obj, grad, hess, x0[idx], lb[idx], ub[idx], options,
-                               kernel_backend=kernel_backend)
+                               kernel_backend=kernel_backend, derivatives=deriv)
         xs.append(res.x[0])
         fs.append(res.f[0])
         pgs.append(res.projected_gradient_norm[0])
@@ -156,6 +164,13 @@ def solve_batch(problem: BatchProblem, x0: np.ndarray,
                       projected_gradient_norm=np.array(pgs),
                       iterations=np.array(its), converged=np.array(conv),
                       function_evaluations=total_feval)
+
+
+def _derivatives(problem):
+    """The problem's fused ``derivatives`` callback, or one built from its
+    ``gradient`` and ``hessian``."""
+    return (getattr(problem, "derivatives", None)
+            or combine_derivatives(problem.gradient, problem.hessian))
 
 
 def _call_single(fn, x: np.ndarray, index: int, batch: int) -> np.ndarray:

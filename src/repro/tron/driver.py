@@ -25,6 +25,13 @@ fraction drops below :attr:`~repro.tron.options.TronOptions.compaction_threshold
 sweeps only the packed rows, and scatters the results back — every kernel in
 the loop is row-separable, so the packed trajectory is bitwise identical to
 the full-batch one.
+
+**Derivatives on accepted rows only.**  The driver keeps its own gradient
+and Hessian per problem.  A step evaluates the objective at the trial point
+and then, only for the rows whose step was accepted, the gradient and
+Hessian together through one ``derivatives`` call; rejected and converged
+rows keep theirs, because their ``x`` did not move.  For row-separable
+callbacks this is bitwise the same as re-evaluating every row.
 """
 
 from __future__ import annotations
@@ -53,9 +60,18 @@ ObjectiveFn = Callable[[np.ndarray], np.ndarray]
 GradientFn = Callable[[np.ndarray], np.ndarray]
 HessianFn = Callable[[np.ndarray], np.ndarray]
 
-#: Row-slicing hook: maps absolute row indices to (objective, gradient,
-#: hessian) callbacks over the packed sub-batch of exactly those rows.
-SelectRowsFn = Callable[[np.ndarray], tuple[ObjectiveFn, GradientFn, HessianFn]]
+#: Fused derivative callback: maps points ``(B, n)`` to the pair (gradients
+#: ``(B, n)``, Hessians ``(B, n, n)``) from one evaluation.
+DerivativesFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+#: Row-slicing hook: maps absolute row indices to (objective, derivatives)
+#: callbacks over the packed sub-batch of exactly those rows.
+SelectRowsFn = Callable[[np.ndarray], tuple[ObjectiveFn, DerivativesFn]]
+
+
+def combine_derivatives(gradient: GradientFn, hessian: HessianFn) -> DerivativesFn:
+    """A derivatives callback for problems without a fused evaluation."""
+    return lambda x: (gradient(x), hessian(x))
 
 
 @dataclass
@@ -78,7 +94,8 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
                      x0: np.ndarray, lb: np.ndarray, ub: np.ndarray,
                      options: TronOptions | None = None,
                      select_rows: SelectRowsFn | None = None,
-                     kernel_backend=None) -> TronResult:
+                     kernel_backend=None,
+                     derivatives: DerivativesFn | None = None) -> TronResult:
     """Solve a batch of bound-constrained problems with TRON.
 
     Parameters
@@ -87,6 +104,8 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
         Batched callbacks (see module docstring).  Without ``select_rows``
         they are always called on the full batch; converged problems simply
         stop moving, which mirrors the lock-step execution of a GPU kernel.
+        ``gradient`` and ``hessian`` are used only when ``derivatives`` is
+        omitted.
     x0:
         Starting points ``(B, n)`` (projected onto the box before use).
     lb, ub:
@@ -96,8 +115,8 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
     select_rows:
         Optional row-slicing hook enabling stream compaction: called with an
         array of absolute row indices, it must return ``(objective,
-        gradient, hessian)`` callbacks that evaluate exactly those problems
-        as a packed sub-batch.  Callbacks obtained this way must be
+        derivatives)`` callbacks that evaluate exactly those problems as a
+        packed sub-batch.  Callbacks obtained this way must be
         row-separable (problem ``i``'s values independent of the other rows
         in the batch) so that packed sweeps reproduce full sweeps bitwise.
     kernel_backend:
@@ -105,7 +124,12 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
         name) executing the driver's dense batched products, the Cauchy/CG
         subproblems, and the compaction gathers/scatters; ``None`` resolves
         the ``REPRO_BACKEND`` environment default (the NumPy oracle).
+    derivatives:
+        Optional fused callback returning ``(gradient, hessian)`` from one
+        evaluation; defaults to calling ``gradient`` and ``hessian``.
     """
+    if derivatives is None:
+        derivatives = combine_derivatives(gradient, hessian)
     options = options or TronOptions()
     options.validate()
     kb = get_backend(kernel_backend)
@@ -119,10 +143,12 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
     max_cg = options.max_cg_iter or (n + 1)
 
     x = project(x0, lb, ub)
-    # Copies, not views: callbacks may return workspace-backed buffers, and
-    # the compaction engine scatters into these arrays in place.
+    # Copies, not views: callbacks may return shared or read-only buffers,
+    # and the driver updates these arrays in place row by row.
     f = np.array(objective(x), dtype=float)
-    g = np.array(gradient(x), dtype=float)
+    g, hess = derivatives(x)
+    g = np.array(g, dtype=float)
+    hess = np.array(hess, dtype=float)
     n_feval = 1
 
     gnorm0 = np.linalg.norm(g, axis=-1)
@@ -148,12 +174,12 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
     window: ActiveSet | None = None
     resident: tuple[np.ndarray, ...] | None = None
     lb_w, ub_w = lb, ub
-    obj_fn, grad_fn, hess_fn = objective, gradient, hessian
+    obj_fn, deriv_fn = objective, derivatives
 
     def flush() -> None:
         """Scatter the packed working arrays back into the resident ones."""
-        for target, values in zip(resident,
-                                  (x, f, g, delta, iterations, converged, pgnorm)):
+        for target, values in zip(resident, (x, f, g, hess, delta, iterations,
+                                             converged, pgnorm)):
             window.scatter(target, values)
 
     for _ in range(options.max_iter):
@@ -168,20 +194,16 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
             # left behind are converged and final; rows in the new window
             # continue exactly the trajectory they were on.
             if window is None:
-                resident = (x, f, g, delta, iterations, converged, pgnorm)
+                resident = (x, f, g, hess, delta, iterations, converged, pgnorm)
                 window = ActiveSet.from_mask(active, backend=kb)
             else:
                 flush()
                 window = window.refine(active)
-            r_x, r_f, r_g, r_delta, r_iter, r_conv, r_pg = resident
-            x, f, g = window.gather(r_x), window.gather(r_f), window.gather(r_g)
-            delta, iterations = window.gather(r_delta), window.gather(r_iter)
-            converged, pgnorm = window.gather(r_conv), window.gather(r_pg)
+            x, f, g, hess, delta, iterations, converged, pgnorm = (
+                window.gather(r) for r in resident)
             lb_w, ub_w = lb[window.indices], ub[window.indices]
-            obj_fn, grad_fn, hess_fn = select_rows(window.indices)
+            obj_fn, deriv_fn = select_rows(window.indices)
             active = np.ones(window.size, dtype=bool)
-
-        hess = np.asarray(hess_fn(x), dtype=float)
 
         # --- Cauchy point -------------------------------------------------
         s_cauchy, _ = cauchy_point(x, g, hess, delta, lb_w, ub_w,
@@ -227,15 +249,16 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
             f = np.where(accept, f_trial, f)
             accepted_rows = np.flatnonzero(accept)
             if compact_ok and accepted_rows.size < x.shape[0]:
-                # Only the accepted rows moved, so only they need a fresh
-                # gradient; rejected/converged rows keep theirs bit for bit.
+                # Only the accepted rows moved, so only they need fresh
+                # derivatives; rejected/converged rows keep theirs bit for bit.
                 absolute = (window.indices[accepted_rows] if window is not None
                             else accepted_rows)
-                _, grad_rows, _ = select_rows(absolute)
-                g[accepted_rows] = np.asarray(grad_rows(x[accepted_rows]), dtype=float)
+                _, deriv_rows = select_rows(absolute)
+                g[accepted_rows], hess[accepted_rows] = deriv_rows(x[accepted_rows])
             else:
-                g_new = np.asarray(grad_fn(x), dtype=float)
-                g = np.where(accept[..., None], g_new, g)
+                g_new, hess_new = deriv_fn(x)
+                np.copyto(g, g_new, where=accept[..., None])
+                np.copyto(hess, hess_new, where=accept[..., None, None])
 
         iterations = iterations + active.astype(int)
         pgnorm = projected_gradient_norm(x, g, lb_w, ub_w)
@@ -245,7 +268,7 @@ def tron_solve_batch(objective: ObjectiveFn, gradient: GradientFn, hessian: Hess
 
     if window is not None:
         flush()
-        x, f, g, delta, iterations, converged, pgnorm = resident
+        x, f, g, hess, delta, iterations, converged, pgnorm = resident
 
     return TronResult(x=x, f=f, projected_gradient_norm=pgnorm,
                       iterations=iterations, converged=converged | (pgnorm <= options.gtol),
